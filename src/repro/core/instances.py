@@ -108,8 +108,8 @@ def build_imputed_tuple(
 
 def aggregates_frame(tuples: list[ImputedTuple]) -> pd.DataFrame:
     """Flatten aggregates into one row per tuple (columns lb_k/ub_k/e_k/
-    tmin_k/tmax_k for k in 0..d-1) — the window-state frame that per-batch
-    Spark pipelines are built from."""
+    tmin_k/tmax_k for k in 0..d-1) — the window-state frame that ER-grid
+    candidate generation runs over."""
     rows = []
     for t in tuples:
         row = {"rid": t.rid, "stream_id": t.stream_id, "kw_mask": t.kw_mask}

@@ -3,7 +3,7 @@
 All kernels are pure functions over per-tuple *aggregates* (token-set-size
 intervals, pivot-distance intervals and expectations, keyword flags), so they
 can be evaluated either row-wise (tests reproduce the paper's Examples 5-7
-exactly) or vectorized over numpy arrays inside the Spark pipeline
+exactly) or vectorized over numpy arrays in the ER-grid candidate pass
 (`numpy` broadcasting: every argument may be a scalar or an ndarray).
 """
 from __future__ import annotations

@@ -4,27 +4,25 @@ The grid assigns every (imputed) window tuple to a d-dimensional cell by its
 per-attribute main-pivot distance lower bound. Cells carry the paper's
 aggregates: keyword existence, minimally-bounding pivot-distance intervals,
 token-set-size intervals, and per-stream member counts. Candidate generation
-for a micro-batch is a Spark pipeline:
+for a micro-batch is one vectorized numpy pass on the driver over the window
+aggregates (a few hundred rows per stream, no Spark job):
 
   new-tuples x cells  -> cell-level pruning (Thm 4.1 / Thm 4.2 via
                           Lemmas 4.1-4.2 on cell aggregates)
   survivors x members -> tuple-level pruning (Thm 4.1, Lemmas 4.1-4.2,
-                          Thm 4.3 via the Lemma-4.3 Paley-Zygmund column)
+                          Thm 4.3 via the Lemma-4.3 Paley-Zygmund bound)
 
 A cell pruned at stage s attributes all its eligible member pairs to stage s
 (index-level pruning credited to its theorem, as in the paper's Figure 4).
-New-vs-new pairs (both sides arriving in the same batch) are checked in a
-vectorized driver pass using the same numpy kernels, with identical stage
-accounting.
+New-vs-new pairs (both sides arriving in the same batch) go through the same
+tuple-stage kernel, with identical stage accounting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, Observation, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import pruning as PR
 from repro.streams.stream_gen import D
@@ -88,55 +86,80 @@ def build_cells(members: pd.DataFrame) -> pd.DataFrame:
     return cells
 
 
-def _ts_ub_col(tmin_i, tmax_i, tmin_j, tmax_j) -> Column:
-    """Lemma 4.1 per-attribute similarity upper bound as a Spark column.
+def _empty_pairs() -> pd.DataFrame:
+    return pd.DataFrame(columns=["rid_n", "rid_m"])
 
-    ``try_divide`` (not ``/``): under ANSI mode, codegen subexpression
-    elimination may evaluate a guarded division even when its ``when`` branch
-    is not taken, turning a well-guarded 0-denominator into a hard error.
-    """
-    ub = (
-        F.when((tmax_i == 0) | (tmax_j == 0), F.lit(0.0))
-        .when(tmin_i > tmax_j, F.try_divide(tmax_j, tmin_i))
-        .when(tmax_i < tmin_j, F.try_divide(tmax_i, tmin_j))
-        .otherwise(F.lit(1.0))
+
+def _checked(pairs: pd.DataFrame, stats: PruneStats) -> tuple[pd.DataFrame, PruneStats]:
+    """Return ``(pairs, stats)`` after checking that the stage counts
+    partition the pairs considered."""
+    if stats.survivors != len(pairs):
+        raise RuntimeError(
+            f"pruning stages do not partition the pairs: total={stats.total} "
+            f"topic={stats.pruned_topic} sim={stats.pruned_sim} "
+            f"prob={stats.pruned_prob} survivors={len(pairs)}"
+        )
+    return pairs, stats
+
+
+def _sim_ok(x, y, *, d: int, gamma: float, use_pivot: bool) -> np.ndarray:
+    """Thm 4.2 on per-attribute aggregates: Lemma 4.1 (token-set sizes) and,
+    with ``use_pivot``, Lemma 4.2 (pivot distances). ``x(name)``/``y(name)``
+    return the two sides' ``tmin{k}``/``tmax{k}``/``lb{k}``/``ub{k}`` arrays,
+    aligned or broadcastable. True where the pair survives."""
+    ts_ub = sum(
+        PR.ub_sim_token_size(x(f"tmin{k}"), x(f"tmax{k}"), y(f"tmin{k}"), y(f"tmax{k}"))
+        for k in range(D)
     )
-    return ub
+    ok = ts_ub > gamma
+    if use_pivot:
+        piv_ub = float(d) - sum(
+            PR.ub_sim_pivot(x(f"lb{k}"), x(f"ub{k}"), y(f"lb{k}"), y(f"ub{k}"))
+            for k in range(D)
+        )
+        ok &= piv_ub > gamma
+    return ok
 
 
-def _min_dist_col(lb_x, ub_x, lb_y, ub_y) -> Column:
-    """Lemma 4.2 per-attribute minimum-distance as a Spark column."""
-    return (
-        F.when(lb_x > ub_y, lb_x - ub_y)
-        .when(lb_y > ub_x, lb_y - ub_x)
-        .otherwise(F.lit(0.0))
+def _tuple_stage(
+    x: pd.DataFrame, ix: np.ndarray, y: pd.DataFrame, iy: np.ndarray,
+    *, d: int, gamma: float, alpha: float, use_pivot: bool, use_prob: bool,
+) -> tuple[np.ndarray, PruneStats]:
+    """Tuple-level pruning of the pairs ``(x.iloc[ix], y.iloc[iy])``: Thm 4.1,
+    then Lemmas 4.1/4.2, then Lemma 4.3. Returns (survivor mask, stats)."""
+
+    def xcol(name):
+        return x[name].to_numpy()[ix]
+
+    def ycol(name):
+        return y[name].to_numpy()[iy]
+
+    def summed(col, name):
+        return sum(col(f"{name}{k}") for k in range(D))
+
+    kw_pruned = PR.topic_keyword_prune(xcol("kw_mask") != 0, ycol("kw_mask") != 0)
+    sim_ok = _sim_ok(xcol, ycol, d=d, gamma=gamma, use_pivot=use_pivot)
+    surv = ~kw_pruned
+    stats = PruneStats(
+        total=len(ix),
+        pruned_topic=int(kw_pruned.sum()),
+        pruned_sim=int((surv & ~sim_ok).sum()),
     )
-
-
-def paley_zygmund_col(
-    d: int, gamma: float, e_x, e_y, lb_x, ub_x, lb_y, ub_y
-) -> Column:
-    """Lemma 4.3 probability upper bound as a Spark column (see
-    :func:`repro.core.pruning.ub_prob_paley_zygmund` for the numpy twin)."""
-    t = F.lit(float(d) - float(gamma))
-    # try_divide everywhere: ANSI mode would otherwise raise on the zero
-    # denominators of rows that never take the guarded branch.
-    th1 = F.try_divide(t, e_x - e_y)
-    b1 = F.lit(1.0) - (F.lit(1.0) - th1) * (F.lit(1.0) - th1) * F.try_divide(
-        e_x - e_y, ub_x - lb_y
-    )
-    c1 = (lb_x >= ub_y) & (th1 >= 0) & (th1 <= 1) & ((ub_x - lb_y) > 0)
-    th2 = F.try_divide(t, e_y - e_x)
-    b2 = F.lit(1.0) - (F.lit(1.0) - th2) * (F.lit(1.0) - th2) * F.try_divide(
-        e_y - e_x, ub_y - lb_x
-    )
-    c2 = (lb_y >= ub_x) & (th2 >= 0) & (th2 <= 1) & ((ub_y - lb_x) > 0)
-    raw = F.when(c1, b1).when(c2, b2).otherwise(F.lit(1.0))
-    return F.greatest(F.lit(0.0), F.least(F.lit(1.0), raw))
+    surv &= sim_ok
+    if use_prob:
+        prob_ub = PR.ub_prob_paley_zygmund(
+            d, gamma,
+            summed(xcol, "e"), summed(ycol, "e"),
+            summed(xcol, "lb"), summed(xcol, "ub"),
+            summed(ycol, "lb"), summed(ycol, "ub"),
+        )
+        prob_ok = prob_ub > alpha
+        stats.pruned_prob = int((surv & ~prob_ok).sum())
+        surv &= prob_ok
+    return surv, stats
 
 
 def generate_candidates(
-    spark: SparkSession,
     new_aggs: pd.DataFrame,
     window_aggs: pd.DataFrame,
     *,
@@ -153,124 +176,60 @@ def generate_candidates(
     ``use_prob`` gate the Lemma-4.2/4.3 stages (the I_j+G_ER baseline runs
     without the fused pivot-sharing prunes, DESIGN.md §2.4).
     """
-    stats = PruneStats()
     if new_aggs.empty or window_aggs.empty:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
+        return _empty_pairs(), PruneStats()
 
-    members = window_aggs.copy()
+    members = window_aggs.reset_index(drop=True)
     members["cell"] = assign_cells(members, cells_per_dim)
     cells = build_cells(members)
+    new = new_aggs.reset_index(drop=True)
 
-    nsdf = spark.createDataFrame(
-        new_aggs.rename(columns={c: f"n_{c}" for c in new_aggs.columns})
-    )
-    csdf = spark.createDataFrame(cells)
-    joined = nsdf.crossJoin(F.broadcast(csdf))
+    # Cell stage: every new tuple against every cell, as (new, cell) arrays.
+    # A cell's interval aggregates are named "c" + the member column.
+    def ncol(name):
+        return new[name].to_numpy()[:, None]
 
-    elig = F.when(F.col("n_stream_id") == 0, F.col("n1")).otherwise(F.col("n0"))
-    kw_ok = (F.col("n_kw_mask") != 0) | (F.col("kw_any") != 0)
-    ts_ub = sum(
-        _ts_ub_col(
-            F.col(f"n_tmin{k}"), F.col(f"n_tmax{k}"),
-            F.col(f"ctmin{k}"), F.col(f"ctmax{k}"),
-        )
-        for k in range(D)
+    def ccol(name):
+        return cells[name].to_numpy()[None, :]
+
+    n_stream = new["stream_id"].to_numpy()
+    elig = np.where(n_stream[:, None] == 0, ccol("n1"), ccol("n0"))
+    kw_ok = (ncol("kw_mask") != 0) | (ccol("kw_any") != 0)
+    sim_ok = _sim_ok(
+        ncol, lambda name: ccol("c" + name), d=d, gamma=gamma, use_pivot=use_pivot
     )
-    piv_ub = F.lit(float(d)) - sum(
-        _min_dist_col(
-            F.col(f"n_lb{k}"), F.col(f"n_ub{k}"),
-            F.col(f"clb{k}"), F.col(f"cub{k}"),
-        )
-        for k in range(D)
-    )
-    sim_ok = ts_ub > gamma
-    if use_pivot:
-        sim_ok = sim_ok & (piv_ub > gamma)
-    joined = joined.withColumn("elig", elig).withColumn("kw_ok", kw_ok).withColumn(
-        "sim_ok", sim_ok
+    cell_ok = kw_ok & sim_ok
+    stats = PruneStats(
+        total=int(elig.sum()),
+        pruned_topic=int(elig[~kw_ok].sum()),
+        pruned_sim=int(elig[kw_ok & ~sim_ok].sum()),
     )
 
-    # Stage counters ride along as Observation metrics — the whole candidate
-    # pipeline (cell prune -> member expand -> tuple prune) runs as a single
-    # Spark action, so the fused TER path is not taxed with extra job
-    # round-trips just for Fig.-4 accounting.
-    cell_obs = Observation("cells")
-    joined = joined.observe(
-        cell_obs,
-        F.sum("elig").alias("total"),
-        F.sum(F.when(~F.col("kw_ok"), F.col("elig")).otherwise(0)).alias("p_kw"),
-        F.sum(
-            F.when(F.col("kw_ok") & ~F.col("sim_ok"), F.col("elig")).otherwise(0)
-        ).alias("p_sim"),
+    # Tuple stage: expand surviving (new, cell) pairs to the cell's members
+    # of the other stream, laid out contiguously by (cell, stream).
+    cell_of = pd.Index(cells["cell"]).get_indexer(members["cell"])
+    m_stream = members["stream_id"].to_numpy()
+    order = np.lexsort((m_stream, cell_of))
+    counts = np.stack([cells["n0"].to_numpy(), cells["n1"].to_numpy()], axis=1)
+    starts = (np.cumsum(counts.ravel()) - counts.ravel()).reshape(counts.shape)
+    n_idx, c_idx = np.nonzero(cell_ok)
+    other = 1 - n_stream[n_idx]
+    cnt = counts[c_idx, other]
+    first = np.repeat(starts[c_idx, other] - (np.cumsum(cnt) - cnt), cnt)
+    ix = np.repeat(n_idx, cnt)
+    iy = order[first + np.arange(len(ix))]
+    keep, tup = _tuple_stage(
+        new, ix, members, iy, d=d, gamma=gamma, alpha=alpha,
+        use_pivot=use_pivot, use_prob=use_prob,
     )
-
-    surv_cells = joined.where(F.col("kw_ok") & F.col("sim_ok")).select(
-        *[F.col(c) for c in nsdf.columns], "cell"
+    stats.add(replace(tup, total=0))  # its pairs are in the cell-stage total
+    out = pd.DataFrame(
+        {
+            "rid_n": new["rid"].to_numpy()[ix[keep]],
+            "rid_m": members["rid"].to_numpy()[iy[keep]],
+        }
     )
-    msdf = spark.createDataFrame(
-        members.rename(columns={c: f"m_{c}" for c in members.columns if c != "cell"})
-    )
-    pairs = surv_cells.join(F.broadcast(msdf), "cell").where(
-        F.col("m_stream_id") != F.col("n_stream_id")
-    )
-
-    t_kw = (F.col("n_kw_mask") != 0) | (F.col("m_kw_mask") != 0)
-    t_ts = sum(
-        _ts_ub_col(
-            F.col(f"n_tmin{k}"), F.col(f"n_tmax{k}"),
-            F.col(f"m_tmin{k}"), F.col(f"m_tmax{k}"),
-        )
-        for k in range(D)
-    ) > gamma
-    t_piv = (
-        F.lit(float(d))
-        - sum(
-            _min_dist_col(
-                F.col(f"n_lb{k}"), F.col(f"n_ub{k}"),
-                F.col(f"m_lb{k}"), F.col(f"m_ub{k}"),
-            )
-            for k in range(D)
-        )
-    ) > gamma
-    t_sim = t_ts & t_piv if use_pivot else t_ts
-    if use_prob:
-        prob_ub = paley_zygmund_col(
-            d, gamma,
-            sum(F.col(f"n_e{k}") for k in range(D)),
-            sum(F.col(f"m_e{k}") for k in range(D)),
-            sum(F.col(f"n_lb{k}") for k in range(D)),
-            sum(F.col(f"n_ub{k}") for k in range(D)),
-            sum(F.col(f"m_lb{k}") for k in range(D)),
-            sum(F.col(f"m_ub{k}") for k in range(D)),
-        )
-        t_prob = prob_ub > alpha
-    else:
-        t_prob = F.lit(True)
-    pairs = pairs.withColumn("t_kw", t_kw).withColumn("t_sim", t_sim).withColumn(
-        "t_prob", t_prob
-    )
-    tup_obs = Observation("tuples")
-    pairs = pairs.observe(
-        tup_obs,
-        F.sum(F.when(~F.col("t_kw"), 1).otherwise(0)).alias("p_kw"),
-        F.sum(F.when(F.col("t_kw") & ~F.col("t_sim"), 1).otherwise(0)).alias("p_sim"),
-        F.sum(
-            F.when(F.col("t_kw") & F.col("t_sim") & ~F.col("t_prob"), 1).otherwise(0)
-        ).alias("p_prob"),
-    )
-
-    out = (
-        pairs.where(F.col("t_kw") & F.col("t_sim") & F.col("t_prob"))
-        .select(F.col("n_rid").alias("rid_n"), F.col("m_rid").alias("rid_m"))
-        .toPandas()
-    )
-    cm = cell_obs.get
-    tm = tup_obs.get
-    stats.total += int(cm["total"] or 0)
-    stats.pruned_topic += int(cm["p_kw"] or 0) + int(tm["p_kw"] or 0)
-    stats.pruned_sim += int(cm["p_sim"] or 0) + int(tm["p_sim"] or 0)
-    stats.pruned_prob += int(tm["p_prob"] or 0)
-    return out, stats
+    return _checked(out, stats)
 
 
 def newnew_candidates(
@@ -282,66 +241,20 @@ def newnew_candidates(
     use_pivot: bool = True,
     use_prob: bool = True,
 ) -> tuple[pd.DataFrame, PruneStats]:
-    """Same-batch (new x new) cross-stream pairs via the numpy kernels —
-    identical pruning order and stage accounting as the Spark path."""
-    stats = PruneStats()
+    """Same-batch (new x new) cross-stream pairs through the tuple-stage
+    kernel, with the same pruning order and stage accounting as
+    :func:`generate_candidates`."""
     a = new_aggs.reset_index(drop=True)
     if len(a) < 2:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
+        return _empty_pairs(), PruneStats()
     idx_i, idx_j = np.triu_indices(len(a), k=1)
-    cross = a["stream_id"].to_numpy()[idx_i] != a["stream_id"].to_numpy()[idx_j]
+    sid = a["stream_id"].to_numpy()
+    cross = sid[idx_i] != sid[idx_j]
     idx_i, idx_j = idx_i[cross], idx_j[cross]
-    stats.total = len(idx_i)
-    if stats.total == 0:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
-
-    def col(name, idx):
-        return a[name].to_numpy()[idx]
-
-    kw_pruned = PR.topic_keyword_prune(
-        col("kw_mask", idx_i) != 0, col("kw_mask", idx_j) != 0
+    surv, stats = _tuple_stage(
+        a, idx_i, a, idx_j, d=d, gamma=gamma, alpha=alpha,
+        use_pivot=use_pivot, use_prob=use_prob,
     )
-    ts_ub = sum(
-        PR.ub_sim_token_size(
-            col(f"tmin{k}", idx_i), col(f"tmax{k}", idx_i),
-            col(f"tmin{k}", idx_j), col(f"tmax{k}", idx_j),
-        )
-        for k in range(D)
-    )
-    piv_ub = float(d) - sum(
-        PR.ub_sim_pivot(
-            col(f"lb{k}", idx_i), col(f"ub{k}", idx_i),
-            col(f"lb{k}", idx_j), col(f"ub{k}", idx_j),
-        )
-        for k in range(D)
-    )
-    sim_ok = ts_ub > gamma
-    if use_pivot:
-        sim_ok &= piv_ub > gamma
-    if use_prob:
-        prob_ub = PR.ub_prob_paley_zygmund(
-            d, gamma,
-            sum(col(f"e{k}", idx_i) for k in range(D)),
-            sum(col(f"e{k}", idx_j) for k in range(D)),
-            sum(col(f"lb{k}", idx_i) for k in range(D)),
-            sum(col(f"ub{k}", idx_i) for k in range(D)),
-            sum(col(f"lb{k}", idx_j) for k in range(D)),
-            sum(col(f"ub{k}", idx_j) for k in range(D)),
-        )
-        prob_ok = prob_ub > alpha
-    else:
-        prob_ok = np.ones(len(idx_i), dtype=bool)
-
-    surv = ~kw_pruned
-    stats.pruned_topic = int(kw_pruned.sum())
-    stats.pruned_sim = int((surv & ~sim_ok).sum())
-    surv &= sim_ok
-    stats.pruned_prob = int((surv & ~prob_ok).sum())
-    surv &= prob_ok
-    out = pd.DataFrame(
-        {
-            "rid_n": a["rid"].to_numpy()[idx_j[surv]],
-            "rid_m": a["rid"].to_numpy()[idx_i[surv]],
-        }
-    )
-    return out, stats
+    rid = a["rid"].to_numpy()
+    out = pd.DataFrame({"rid_n": rid[idx_j[surv]], "rid_m": rid[idx_i[surv]]})
+    return _checked(out, stats)

@@ -310,7 +310,7 @@ def _run_measured_batch(
         fused = method == "ter"
         if len(state.aggs):
             cand, st1 = generate_candidates(
-                spark, new_aggs, state.aggs,
+                new_aggs, window_aggs=state.aggs,
                 d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
                 cells_per_dim=cfg.grid_cells_per_dim,
                 use_pivot=fused, use_prob=fused,
