@@ -1,18 +1,29 @@
-"""Online imputation of incomplete tuples (paper Section 3) as Spark joins.
+"""Online imputation of incomplete tuples (paper Section 3).
 
-Per micro-batch, incomplete tuples are joined with:
-1. the **CDD-index** rule table (broadcast) on the missing attribute — the
-   paper's "obtain suitable CDD rules";
-2. the **DR-index** bucket postings (triangle-inequality bucket range on the
-   primary determinant) to retrieve candidate samples ``s in R`` — exact
-   determinant constraints are then checked with Catalyst array expressions
-   (false positives removed; the unindexed baselines use a cross join here);
-3. the ``dom_pairs`` table on the sample's dependent value — the Section-3
-   candidate set ``cand(s[A_j])`` of domain values within ``A_j.I``.
+For each missing cell ``r[A_j]`` of a micro-batch:
+1. the CDD-index rules with dependent ``A_j`` whose determinants are present
+   on ``r`` are selected (the paper's "obtain suitable CDD rules");
+2. the samples ``s in R`` satisfying a rule's determinant constraints are
+   retrieved — the (rid, j, rule_id, sid) *samples*;
+3. each sample's candidate set ``cand(s[A_j])`` — domain values within the
+   rule's dependent interval ``A_j.I`` of ``s[A_j]`` — gives the
+   (rid, j, rule_id, sid, v) *candidate rows*.
 
-Frequencies are aggregated per (tuple, attribute, value) and normalized per
-Eq. (4); instances of multi-attribute-missing tuples are the per-attribute
-candidate cross product (capped + renormalized, DESIGN.md).
+Steps 2-3 run one of two ways, and that is the TER-iDS vs CDD+ER distinction:
+- indexed (TER-iDS, I_j+G_ER, every warm-up): driver-side lookups in the
+  DR-index arrays — token postings give each determinant distance to every
+  sample, and ``dom_pairs`` gives ``cand(s[A_j])`` by range lookup. No Spark
+  job runs.
+- straightforward (the no-index baselines): a Spark cross join of the probe
+  rows with the repository frame, then a scan of every domain value per
+  sample; the candidate rows are collected to the driver.
+
+Both are exact, so they produce the same candidate rows, and both then go
+through :func:`candidate_frequencies`, one driver-side vote-split
+aggregation (Eq. 3/4) over a fixed row order: indexed and straightforward
+imputations are bit-identical. Instances of multi-attribute-missing tuples
+are the per-attribute candidate cross product (capped + renormalized,
+DESIGN.md).
 
 ``impute_batch`` covers the cdd/dd/er flavors (they differ only in the rule
 set and whether the DR-index is used); ``impute_batch_con`` implements the
@@ -22,8 +33,9 @@ tuple in the current *window* (no repository access).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -31,21 +43,97 @@ from pyspark.sql.window import Window
 
 from repro.core.instances import ImputedTuple, build_imputed_tuple, cap_instances
 from repro.core.pivot import AttributePivots
-from repro.core.similarity import jaccard_col, jaccard_dist_col, tokens_col
-from repro.index.cdd_index import CDDIndex
-from repro.index.dr_index import DRIndex, _pivot_lit
+from repro.core.similarity import jaccard_col, tokens, tokens_col
+from repro.index.cdd_index import CDDIndex, rules_to_rows
+from repro.index.dr_index import DRIndex
 from repro.streams.stream_gen import ATTR_COLS, D
+
+SAMPLE_COLS = ["rid", "j", "rule_id", "sid", "dep_lo", "dep_hi", "s_dep_val"]
+CAND_COLS = ["rid", "j", "rule_id", "sid", "v"]
+FREQ_COLS = ["rid", "j", "v", "count"]
 
 
 @dataclass
 class ImputeStats:
     """Per-batch imputation accounting (break-up cost, Fig. 6)."""
 
-    t_select: float = 0.0     # CDD selection + sample retrieval (Spark action)
-    t_impute: float = 0.0     # candidate-value aggregation (Spark action)
+    t_select: float = 0.0     # CDD selection + sample retrieval
+    t_impute: float = 0.0     # candidate sets + frequency aggregation
     n_samples: int = 0        # matched (tuple, rule, sample) triples
     n_incomplete: int = 0
 
+
+def missing_cells(batch: pd.DataFrame) -> pd.DataFrame:
+    """(rid, j) of every missing attribute value in the batch."""
+    rows = [
+        (int(row.rid), k)
+        for row in batch.itertuples(index=False)
+        for k, c in enumerate(ATTR_COLS)
+        if pd.isna(getattr(row, c))
+    ]
+    return pd.DataFrame(rows, columns=["rid", "j"], dtype=np.int64)
+
+
+# --------------------------------------------------- indexed (driver) probe ---
+
+def probe_samples(
+    batch: pd.DataFrame, need: pd.DataFrame, dr: DRIndex, cddx: CDDIndex
+) -> pd.DataFrame:
+    """Samples of each missing cell via the DR-index postings (driver side).
+
+    Per (tuple, determinant attribute), one postings lookup gives the exact
+    Jaccard distance to every sample; each rule's interval constraints are
+    then a mask over that vector. Columns as :data:`SAMPLE_COLS` plus
+    ``u``, the domain id of ``s_dep_val`` (-1 when null)."""
+    toks = {
+        int(row.rid): [tokens(None if pd.isna(v) else v)
+                       for v in (getattr(row, c) for c in ATTR_COLS)]
+        for row in batch.itertuples(index=False)
+    }
+    by_dep: dict[int, list[tuple]] = {}
+    for r in rules_to_rows(cddx.rules):
+        by_dep.setdefault(r[1], []).append(r)
+    dist: dict[tuple[int, int], np.ndarray] = {}
+
+    def dist_to(rid: int, x: int) -> np.ndarray:
+        if (rid, x) not in dist:
+            dist[(rid, x)] = dr.attrs[x].distances(toks[rid][x])
+        return dist[(rid, x)]
+
+    out = []
+    for rid, j in need.itertuples(index=False):
+        t = toks[rid]
+        a = dr.attrs[j]
+        for rule_id, _, x1, lo1, hi1, x2, lo2, hi2, dep_lo, dep_hi in by_dep.get(j, ()):
+            # Determinants must be present on the incomplete tuple (paper:
+            # "attributes in X_i are non-missing").
+            if not t[x1] or (x2 is not None and not t[x2]):
+                continue
+            d1 = dist_to(rid, x1)
+            ok = (d1 >= lo1) & (d1 <= hi1)
+            if x2 is not None:
+                d2 = dist_to(rid, x2)
+                ok &= (d2 >= lo2) & (d2 <= hi2)
+            for i in np.flatnonzero(ok):
+                u = a.val[i]
+                out.append((rid, j, rule_id, dr.sids[i], dep_lo, dep_hi,
+                            a.domain[u] if u >= 0 else None, u))
+    return pd.DataFrame(out, columns=SAMPLE_COLS + ["u"])
+
+
+def probe_candidates(samples: pd.DataFrame, dr: DRIndex) -> pd.DataFrame:
+    """Candidate rows of :func:`probe_samples` output via ``dom_pairs``
+    range lookups: ``cand(s[A_j])`` is a slice of ``s[A_j]``'s pair list."""
+    out = [
+        (s.rid, s.j, s.rule_id, s.sid, v)
+        for s in samples.itertuples(index=False) if s.u >= 0
+        for v in dr.attrs[s.j].domain[
+            dr.attrs[s.j].candidates(s.u, s.dep_lo, s.dep_hi)]
+    ]
+    return pd.DataFrame(out, columns=CAND_COLS)
+
+
+# -------------------------------------------- straightforward (Spark) scan ---
 
 def _pick(attr_col: Column, cols: list[Column]) -> Column:
     """CASE chain selecting ``cols[attr]`` for a runtime attribute index."""
@@ -55,66 +143,29 @@ def _pick(attr_col: Column, cols: list[Column]) -> Column:
     return expr
 
 
-def _batch_features(
-    spark: SparkSession, batch: pd.DataFrame, pivots: dict[int, AttributePivots]
-) -> DataFrame:
-    """Tokenize a micro-batch and pivot-convert every (present) attribute."""
-    sdf = spark.createDataFrame(batch[["rid"] + ATTR_COLS])
-    cols = [F.col("rid")]
-    for k, c in enumerate(ATTR_COLS):
-        cols.append(tokens_col(F.col(c)).alias(f"bt{k}"))
-    sdf = sdf.select(*cols)
-    for k in range(D):
-        sdf = sdf.withColumn(
-            f"bpd{k}",
-            jaccard_dist_col(F.col(f"bt{k}"), _pivot_lit(pivots[k].main_tokens)),
-        )
-    return sdf
-
-
-def retrieve_samples(
+def scan_samples(
     spark: SparkSession,
     batch: pd.DataFrame,
     need: pd.DataFrame,
     dr: DRIndex,
     cddx: CDDIndex,
-    pivots: dict[int, AttributePivots],
-    *,
-    indexed: bool,
 ) -> DataFrame:
-    """(rid, j, rule_id, sid, dep value) triples: which repository samples
-    each rule suggests for each missing attribute. The index join vs the
-    straightforward cross join is the TER-iDS vs CDD+ER distinction."""
-    feats = _batch_features(spark, batch, pivots)
-    need_sdf = spark.createDataFrame(need)  # rid, j
-    probe = need_sdf.join(feats, "rid").join(
+    """Samples of each missing cell by the straightforward cross join of
+    (cell, rule) probe rows with the whole repository (Spark)."""
+    feats = spark.createDataFrame(batch[["rid"] + ATTR_COLS]).select(
+        "rid", *[tokens_col(F.col(c)).alias(f"bt{k}") for k, c in enumerate(ATTR_COLS)]
+    )
+    probe = spark.createDataFrame(need).join(feats, "rid").join(
         F.broadcast(cddx.rules_df), F.col("j") == F.col("dep")
     )
     bt = [F.col(f"bt{k}") for k in range(D)]
-    bpd = [F.col(f"bpd{k}") for k in range(D)]
-    # Determinants must be present on the incomplete tuple (paper: "attributes
-    # in X_i are non-missing").
+    # Determinants must be present on the incomplete tuple (paper:
+    # "attributes in X_i are non-missing").
     probe = probe.where(F.size(_pick(F.col("x1"), bt)) > 0)
     probe = probe.where(
         F.col("x2").isNull() | (F.size(_pick(F.col("x2"), bt)) > 0)
     )
-
-    if indexed:
-        # DR-index probe via token postings: any sample within Jaccard
-        # distance hi1 < 1 of r[x1] shares a token with it, so the postings
-        # join yields a complete candidate superset (no false negatives);
-        # duplicates from multi-token overlap are dropped before the exact
-        # constraint check. The probe side (batch x rules x tokens) is tiny
-        # and broadcast.
-        probe = probe.withColumn("ptok", F.explode(_pick(F.col("x1"), bt)))
-        cand = dr.repo_tok.join(
-            F.broadcast(probe),
-            (dr.repo_tok["attr"] == probe["x1"]) & (dr.repo_tok["tok"] == probe["ptok"]),
-        ).drop("attr", "tok", "ptok")
-        cand = cand.dropDuplicates(["rid", "j", "rule_id", "sid"])
-        cand = cand.join(dr.repo, "sid")
-    else:
-        cand = probe.crossJoin(dr.repo)
+    cand = probe.crossJoin(dr.repo)
 
     st = [F.col(f"t{k}") for k in range(D)]
     d1 = F.lit(1.0) - jaccard_col(_pick(F.col("x1"), bt), _pick(F.col("x1"), st))
@@ -124,29 +175,24 @@ def retrieve_samples(
         F.col("x2").isNull() | ((d2 >= F.col("lo2")) & (d2 <= F.col("hi2")))
     )
     sval = [F.col(c) for c in ATTR_COLS]
-    return cand.select(
-        "rid",
-        "j",
-        "rule_id",
-        "sid",
-        "dep_lo",
-        "dep_hi",
-        _pick(F.col("j"), sval).alias("s_dep_val"),
-    )
+    return cand.select(*SAMPLE_COLS[:-1], _pick(F.col("j"), sval).alias("s_dep_val"))
 
 
-def candidate_frequencies(
-    samples: DataFrame, dr: DRIndex, *, use_dom_index: bool = True
-) -> DataFrame:
+def scan_candidates(samples: DataFrame, dr: DRIndex) -> pd.DataFrame:
+    """Candidate rows of :func:`scan_samples` output by scanning the whole
+    attribute domain per retrieved sample and computing each Jaccard
+    distance on the fly — the paper's straightforward method, whose cost is
+    what the index lookups eliminate. Collected to the driver."""
+    dv = dr.dom_values
+    scan = dv.join(F.broadcast(samples), dv["attr"] == samples["j"])
+    dist = F.lit(1.0) - jaccard_col(tokens_col(F.col("s_dep_val")), F.col("vtok"))
+    return scan.where(
+        (dist >= F.col("dep_lo")) & (dist <= F.col("dep_hi"))
+    ).select(*CAND_COLS).toPandas()
+
+
+def candidate_frequencies(cands: pd.DataFrame) -> pd.DataFrame:
     """Aggregate candidate-value frequencies F(v) (Section 3).
-
-    ``use_dom_index=True`` (TER-iDS / I_j+G_ER): equi-join the precomputed
-    ``dom_pairs`` table — the DR-index turns ``cand(s[A_j])`` into a lookup.
-
-    ``use_dom_index=False`` (straightforward baselines): scan the whole
-    attribute domain per retrieved sample and compute each Jaccard distance
-    on the fly — the paper's straightforward method, whose cost is what the
-    index joins eliminate.
 
     Frequencies are *vote-split*: each retrieved (rule, sample) contributes a
     total weight of 1, divided over its candidate set ``cand(s[A_j])``. This
@@ -154,27 +200,22 @@ def candidate_frequencies(
     neighbourhood cannot dilute the concentrated evidence of samples whose
     dependent values pinpoint the missing one — matching the paper's premise
     that CDD imputation concentrates probability mass on the right value.
+
+    Rows are put in one fixed order before summing, so equal candidate rows
+    give bit-identical frequencies whichever path produced them.
     """
-    if use_dom_index:
-        dp = dr.dom_pairs
-        cands = dp.join(
-            F.broadcast(samples),
-            (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"]),
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        )
-    else:
-        dv = dr.dom_values
-        scan = dv.join(F.broadcast(samples), dv["attr"] == samples["j"])
-        dist = F.lit(1.0) - jaccard_col(
-            tokens_col(F.col("s_dep_val")), F.col("vtok")
-        )
-        cands = scan.withColumn("dist", dist).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        )
-    w = Window.partitionBy("rid", "j", "rule_id", "sid")
-    cands = cands.withColumn("weight", F.lit(1.0) / F.count(F.lit(1)).over(w))
-    return cands.groupBy("rid", "j", "v").agg(F.sum("weight").alias("count"))
+    if cands.empty:
+        return pd.DataFrame(columns=FREQ_COLS)
+    cands = cands.astype({"rid": np.int64, "j": np.int64, "rule_id": np.int64,
+                          "sid": np.int64})
+    cands = cands.sort_values(CAND_COLS, kind="stable", ignore_index=True)
+    per_sample = cands.groupby(CAND_COLS[:4])["v"].transform("size")
+    return (
+        cands.assign(count=1.0 / per_sample)
+        .groupby(["rid", "j", "v"], sort=True)["count"]
+        .sum()
+        .reset_index()
+    )
 
 
 def assemble_instances(
@@ -242,36 +283,31 @@ def impute_batch(
     indexed: bool,
     max_instances: int = 8,
 ) -> tuple[list[ImputedTuple], ImputeStats]:
-    """Impute one micro-batch via CDD/DD/editing rules (flavor = cddx rules)."""
+    """Impute one micro-batch via CDD/DD/editing rules (flavor = cddx rules).
+
+    ``indexed`` probes the DR-index on the driver (no Spark job); otherwise
+    samples and candidate sets come from the straightforward Spark scan."""
     stats = ImputeStats()
-    need_rows = []
-    for row in batch.itertuples(index=False):
-        for k, c in enumerate(ATTR_COLS):
-            v = getattr(row, c)
-            if v is None or pd.isna(v):
-                need_rows.append((int(row.rid), k))
-    stats.n_incomplete = len({r for r, _ in need_rows})
-    if not need_rows:
-        tuples = assemble_instances(
-            batch, pd.DataFrame(columns=["rid", "j", "v", "count"]),
-            keywords=keywords, pivots=pivots, max_instances=max_instances,
-        )
-        return tuples, stats
-
-    need = pd.DataFrame(need_rows, columns=["rid", "j"])
-    t0 = time.perf_counter()
-    samples = retrieve_samples(
-        spark, batch, need, dr, cddx, pivots, indexed=indexed
-    ).persist()
-    stats.n_samples = samples.count()
-    stats.t_select = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    freq_pdf = candidate_frequencies(
-        samples, dr, use_dom_index=indexed
-    ).toPandas()
-    stats.t_impute = time.perf_counter() - t1
-    samples.unpersist()
+    need = missing_cells(batch)
+    stats.n_incomplete = need["rid"].nunique()
+    freq_pdf = pd.DataFrame(columns=FREQ_COLS)
+    if len(need):
+        t0 = time.perf_counter()
+        if indexed:
+            samples = probe_samples(batch, need, dr, cddx)
+            stats.n_samples = len(samples)
+            stats.t_select = time.perf_counter() - t0
+            t1 = time.perf_counter()
+            cands = probe_candidates(samples, dr)
+        else:
+            samples = scan_samples(spark, batch, need, dr, cddx).persist()
+            stats.n_samples = samples.count()
+            stats.t_select = time.perf_counter() - t0
+            t1 = time.perf_counter()
+            cands = scan_candidates(samples, dr)
+            samples.unpersist()
+        freq_pdf = candidate_frequencies(cands)
+        stats.t_impute = time.perf_counter() - t1
 
     tuples = assemble_instances(
         batch, freq_pdf, keywords=keywords, pivots=pivots,

@@ -1,27 +1,35 @@
 """DR-index ``I_R`` over the data repository R (paper §5.1, Figure 3).
 
-Repository tuples are pivot-converted per attribute (Jaccard distance of
-``s[A_x]`` to the main pivot ``piv_1[A_x]``) and assigned to equi-width
-buckets of [0, 1] — the two-level aR-tree of DESIGN.md. The index probe for
-an interval constraint ``dist(r[A_x], s[A_x]) in [lo, hi]`` uses the triangle
-inequality: any qualifying sample must satisfy
-``|pd(s) - pd(r)| <= hi``, so only buckets overlapping
-``[pd(r) - hi, pd(r) + hi]`` are scanned (candidate buckets joined on key,
-then exact constraint filtering — false positives only, never negatives).
+Spark builds the index offline; the online probe runs on the driver.
 
-The index also precomputes the per-attribute value **domains** and the
-``dom_pairs`` table (value pairs within the maximum dependent interval),
-which turns the Section-3 candidate-set lookup ``cand(s[A_j])`` into an
-equi-join. ``dom_pairs`` is built with an inverted token index self-join;
-tokens with document frequency above ``df_cap`` are skipped as join keys
-(hot-token capping — pairs sharing only ultra-frequent tokens have low
-similarity and fall outside any dependent interval; identity pairs are always
-included).
+Offline, repository tuples are tokenized and pivot-converted per attribute
+(Jaccard distance of ``s[A_x]`` to the main pivot ``piv_1[A_x]``, assigned to
+equi-width buckets of [0, 1] — the two-level aR-tree of DESIGN.md). The index
+also precomputes the per-attribute value **domains** and the ``dom_pairs``
+table: every pair of domain values within ``max_dep_hi`` of each other, which
+turns the Section-3 candidate-set lookup ``cand(s[A_j])`` into a range
+lookup. ``dom_pairs`` is an inverted-token self-join: since
+``max_dep_hi < 1``, any qualifying pair shares a token, so the join is
+complete (every token is a join key; no document-frequency cap).
+
+At the end of the build the index is materialised on the driver as compact
+int/numpy arrays (:class:`AttrIndex`), one set per attribute:
+
+- token → sample-row postings (CSR), plus each sample's token-set size, so
+  the Jaccard distance of a probe value to *every* sample is one
+  ``np.bincount`` over the postings of the probe's tokens;
+- each sample's value as a domain id;
+- ``dom_pairs`` as CSR keyed by the domain id of ``u``, distances ascending,
+  so a dependent interval ``[lo, hi]`` is two ``searchsorted`` calls.
+
+The repository frame ``repo`` and the ``dom_values`` frame stay in Spark for
+the straightforward (no-index) baselines, which scan them per batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -35,33 +43,111 @@ def _pivot_lit(tokens: frozenset) -> F.col:
     return F.array(*[F.lit(t) for t in sorted(tokens)])
 
 
+def _offsets(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """CSR offsets of ``keys`` in ``range(n_keys)``, once sorted by key."""
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+    return offsets
+
+
+@dataclass
+class AttrIndex:
+    """Driver-resident DR-index contents for one attribute ``A_k``."""
+
+    tok_id: dict[str, int]   # token -> postings id
+    post_ptr: np.ndarray     # (n_tok + 1,) CSR offsets into post_rows
+    post_rows: np.ndarray    # sample rows, grouped by token
+    size: np.ndarray         # (n_samples,) |tokens(s[A_k])|
+    val: np.ndarray          # (n_samples,) domain id of s[A_k]; -1 if null
+    domain: np.ndarray       # (n_dom,) domain id -> value
+    pair_ptr: np.ndarray     # (n_dom + 1,) CSR offsets into pair_dist/pair_v
+    pair_dist: np.ndarray    # dist(u, v), ascending within each u
+    pair_v: np.ndarray       # domain id of v
+
+    def distances(self, toks: frozenset) -> np.ndarray:
+        """Jaccard distance of ``toks`` to every sample's ``s[A_k]``.
+
+        The same arithmetic as ``jaccard_dist_col`` (similarity 0 when both
+        sets are empty), so driver and Spark distances are bit-identical."""
+        ids = [self.tok_id[t] for t in toks if t in self.tok_id]
+        hits = [self.post_rows[self.post_ptr[i]:self.post_ptr[i + 1]] for i in ids]
+        inter = np.bincount(
+            np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64),
+            minlength=len(self.size),
+        )
+        union = len(toks) + self.size - inter
+        sim = np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
+        return 1.0 - sim
+
+    def candidates(self, u: int, lo: float, hi: float) -> np.ndarray:
+        """Domain ids ``v`` with ``lo <= dist(u, v) <= hi`` (``hi`` at most
+        the build's ``max_dep_hi``)."""
+        a, b = self.pair_ptr[u], self.pair_ptr[u + 1]
+        d = self.pair_dist[a:b]
+        return self.pair_v[a + np.searchsorted(d, lo, "left"):
+                           a + np.searchsorted(d, hi, "right")]
+
+
 @dataclass
 class DRIndex:
-    """Prepared repository: tokenized/pivot-converted Spark frames + domains.
+    """Prepared repository: Spark frames for the scan baselines, driver
+    arrays for the indexed probe.
 
-    ``dom_pairs`` is part of the *index* infrastructure (§5.1); the
-    straightforward baselines instead scan ``dom_values`` — every domain
-    value per attribute — per retrieved sample, as the paper's straightforward
-    method does ("it is rather time-consuming to retrieve all samples ...
-    to fill the missing attribute").
+    ``dom_pairs`` (in ``attrs``) is part of the *index* infrastructure
+    (§5.1); the straightforward baselines instead scan ``dom_values`` —
+    every domain value per attribute — per retrieved sample, as the paper's
+    straightforward method does ("it is rather time-consuming to retrieve
+    all samples ... to fill the missing attribute").
     """
 
     repo: DataFrame          # sid, a0..a4, t0..t4, pd0..pd4, pb0..pb4
-    repo_long: DataFrame     # sid, attr, pb  (bucket postings list)
-    repo_tok: DataFrame      # sid, attr, tok (token postings list)
-    dom_pairs: DataFrame     # attr, u, v, dist  (dist <= max_dep_hi)
     dom_values: DataFrame    # attr, v, vtok    (unindexed candidate scan)
-    domains: dict[int, list[str]]
+    sids: np.ndarray         # (n_samples,) sample id of each driver row
+    attrs: list[AttrIndex]   # per attribute
     n_buckets: int
-    n_samples: int
+    max_dep_hi: float        # dom_pairs distance cutoff
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.sids)
 
     def unpersist(self) -> None:
-        for df in (self.repo, self.repo_long, self.repo_tok, self.dom_pairs,
-                   self.dom_values):
+        for df in (self.repo, self.dom_values):
             try:
                 df.unpersist()
             except Exception:
                 pass
+
+
+def _attr_index(
+    samples: list, k: int, domain: list[str], pairs: pd.DataFrame
+) -> AttrIndex:
+    """Driver arrays of attribute ``k`` from the collected index rows."""
+    tok_id: dict[str, int] = {}
+    tok_keys, tok_rows = [], []
+    for i, row in enumerate(samples):
+        for t in row[f"t{k}"]:
+            tok_keys.append(tok_id.setdefault(t, len(tok_id)))
+            tok_rows.append(i)
+    tok_keys = np.asarray(tok_keys, dtype=np.int64)
+    dom_id = {v: i for i, v in enumerate(domain)}
+    u = pairs["u"].map(dom_id).to_numpy(dtype=np.int64)
+    v = pairs["v"].map(dom_id).to_numpy(dtype=np.int64)
+    dist = pairs["dist"].to_numpy(dtype=np.float64)
+    by = np.lexsort((v, dist, u))
+    return AttrIndex(
+        tok_id=tok_id,
+        post_ptr=_offsets(tok_keys, len(tok_id)),
+        post_rows=np.asarray(tok_rows, dtype=np.int64)[
+            np.argsort(tok_keys, kind="stable")],
+        size=np.array([len(row[f"t{k}"]) for row in samples], dtype=np.int64),
+        val=np.array([dom_id.get(row[ATTR_COLS[k]], -1) for row in samples],
+                     dtype=np.int64),
+        domain=np.array(domain, dtype=object),
+        pair_ptr=_offsets(u, len(domain)),
+        pair_dist=dist[by],
+        pair_v=v[by],
+    )
 
 
 def build_dr_index(
@@ -71,9 +157,12 @@ def build_dr_index(
     *,
     n_buckets: int = 10,
     max_dep_hi: float = 0.7,
-    df_cap_frac: float = 0.02,
 ) -> DRIndex:
     """Build the DR-index over the repository (one-time, offline phase)."""
+    if not 0.0 <= max_dep_hi < 1.0:
+        # At distance 1 a pair shares no token, so the token self-join that
+        # builds dom_pairs would miss it.
+        raise ValueError(f"max_dep_hi must lie in [0, 1), got {max_dep_hi}")
     sdf = spark.createDataFrame(repo_pdf[["sid"] + ATTR_COLS])
     cols = [F.col("sid")] + [F.col(c) for c in ATTR_COLS]
     for k, c in enumerate(ATTR_COLS):
@@ -89,37 +178,10 @@ def build_dr_index(
             ),
         )
     repo = sdf.coalesce(4).persist()
-    n_samples = repo.count()
-
-    repo_long = (
-        repo.select(
-            "sid",
-            F.explode(
-                F.arrays_zip(
-                    F.array(*[F.lit(k) for k in range(D)]),
-                    F.array(*[F.col(f"pb{k}") for k in range(D)]),
-                )
-            ).alias("z"),
-        )
-        .select("sid", F.col("z.0").alias("attr"), F.col("z.1").alias("pb"))
-        .coalesce(4)
-        .persist()
+    samples = sorted(
+        repo.select("sid", *ATTR_COLS, *[f"t{k}" for k in range(D)]).collect(),
+        key=lambda r: r["sid"],
     )
-    repo_long.count()
-
-    # Token postings: any sample satisfying a (non-degenerate) interval
-    # constraint dist(r[A_x], s[A_x]) <= hi < 1 must share at least one token
-    # with the probing tuple on A_x, so a postings join retrieves a complete
-    # candidate superset (exact determinant constraints filter the rest).
-    tok_parts = [
-        repo.select("sid", F.lit(k).alias("attr"), F.explode(F.col(f"t{k}")).alias("tok"))
-        for k in range(D)
-    ]
-    repo_tok = tok_parts[0]
-    for p in tok_parts[1:]:
-        repo_tok = repo_tok.unionByName(p)
-    repo_tok = repo_tok.coalesce(8).persist()
-    repo_tok.count()
 
     # --- attribute domains + dom_pairs (inverted-index similarity self-join) ---
     vals = None
@@ -129,39 +191,34 @@ def build_dr_index(
         ).distinct()
         vals = v if vals is None else vals.unionByName(v)
     vals = vals.persist()
-    n_dom = vals.count()
-    df_cap = max(20, int(df_cap_frac * n_dom))
-
-    tok = vals.select("attr", "u", F.explode(tokens_col(F.col("u"))).alias("tok"))
-    tok_df = tok.groupBy("attr", "tok").count().where(F.col("count") <= df_cap)
-    tok_rare = tok.join(F.broadcast(tok_df.select("attr", "tok")), ["attr", "tok"])
-    cand = (
-        tok_rare.alias("l")
-        .join(tok_rare.alias("r"), ["attr", "tok"])
-        .select("attr", F.col("l.u").alias("u"), F.col("r.u").alias("v"))
-        .distinct()
-    )
-    pairs = cand.withColumn(
-        "dist",
-        jaccard_dist_col(tokens_col(F.col("u")), tokens_col(F.col("v"))),
-    ).where(F.col("dist") <= max_dep_hi)
-    ident = vals.select("attr", F.col("u"), F.col("u").alias("v"), F.lit(0.0).alias("dist"))
-    dom_pairs = pairs.unionByName(ident).distinct().coalesce(8).persist()
-    dom_pairs.count()
-
     dom_values = (
         vals.select("attr", F.col("u").alias("v"), tokens_col(F.col("u")).alias("vtok"))
         .coalesce(8)
         .persist()
     )
-    dom_values.count()
-    domains = {
-        k: [r["u"] for r in vals.where(F.col("attr") == k).collect()]
-        for k in range(D)
-    }
+    domains: dict[int, list[str]] = {k: [] for k in range(D)}
+    for r in dom_values.select("attr", "v").collect():
+        domains[r["attr"]].append(r["v"])
+
+    # Identity pairs come out of the join too (dist exactly 0.0); a value
+    # without tokens is at distance 1 from everything, itself included.
+    tok = vals.select("attr", "u", F.explode(tokens_col(F.col("u"))).alias("tok"))
+    pairs = (
+        tok.alias("l")
+        .join(tok.alias("r"), ["attr", "tok"])
+        .select("attr", F.col("l.u").alias("u"), F.col("r.u").alias("v"))
+        .distinct()
+        .withColumn("dist", jaccard_dist_col(tokens_col(F.col("u")), tokens_col(F.col("v"))))
+        .where(F.col("dist") <= max_dep_hi)
+        .toPandas()
+    )
     vals.unpersist()
+    attrs = [
+        _attr_index(samples, k, sorted(domains[k]), pairs[pairs["attr"] == k])
+        for k in range(D)
+    ]
     return DRIndex(
-        repo=repo, repo_long=repo_long, repo_tok=repo_tok, dom_pairs=dom_pairs,
-        dom_values=dom_values, domains=domains,
-        n_buckets=n_buckets, n_samples=n_samples,
+        repo=repo, dom_values=dom_values,
+        sids=np.array([r["sid"] for r in samples], dtype=np.int64),
+        attrs=attrs, n_buckets=n_buckets, max_dep_hi=max_dep_hi,
     )

@@ -5,8 +5,8 @@ over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
+The result and ``tables`` may be Spark or pandas DataFrames; Spark inputs
+are collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
@@ -33,7 +33,7 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = spark_df.toPandas() if isinstance(spark_df, DataFrame) else spark_df
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

@@ -20,9 +20,10 @@ Methods (paper §6.1):
 - ``er_er``   editing rules, no indexes.
 - ``con_er``  constraint-based window imputation [43], all-pairs exact ER.
 
-Warmup always retrieves imputation samples through the DR-index regardless of
-method — the index probe is *exactly* equivalent to the cross join (asserted
-by tests), and warmup is never measured, so this only bounds setup cost.
+Warmup always imputes through the DR-index regardless of method — the
+driver-side index probe yields bit-identical imputations to the cross join
+and domain scan (asserted by tests), and warmup is never measured, so this
+only bounds setup cost.
 """
 from __future__ import annotations
 
@@ -165,6 +166,12 @@ def prepare(
             n_buckets=cfg.pivot_buckets,
             max_dep_hi=DOM_PAIRS_CUTOFF,
         )
+    if cddx.max_dep_hi() > dr.max_dep_hi:
+        # dom_pairs would miss candidates the domain scan finds.
+        raise ValueError(
+            f"{method} rules reach dependent distance {cddx.max_dep_hi()}, "
+            f"beyond the DR-index's dom_pairs cutoff {dr.max_dep_hi}"
+        )
     return Prepared(method, pivots, cddx, dr, keywords, owns_dr=owns)
 
 
@@ -241,6 +248,19 @@ def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTupl
     )
 
 
+def _fill_window(
+    spark, method: str, wb: WindowBatch, prep: Prepared, cfg: TERConfig,
+    state: TERState,
+) -> None:
+    """Step 0: impute and insert the window-fill batch, then expire the
+    tuples it already pushed out of a stream's window."""
+    new_tuples, _ = _impute(
+        spark, method, wb.arrived, prep, cfg, state, force_indexed=True
+    )
+    _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
+    _expire(state, wb.expired_rids)
+
+
 def warmup(
     spark: SparkSession, ds: Dataset, cfg: TERConfig, prep: Prepared
 ) -> TERState:
@@ -252,10 +272,7 @@ def warmup(
     for wb in sliding_batches(ds.stream, w=cfg.w, batch_size=cfg.batch_size,
                               max_batches=0):
         assert wb.step == 0
-        new_tuples, _ = _impute(
-            spark, prep.method, wb.arrived, prep, cfg, state, force_indexed=True
-        )
-        _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
+        _fill_window(spark, prep.method, wb, prep, cfg, state)
     return state
 
 
@@ -282,10 +299,7 @@ def run_stream(
         if wb.step == 0:
             if state is None:
                 state = TERState()
-                new_tuples, _ = _impute(
-                    spark, method, wb.arrived, prep, cfg, state, force_indexed=True
-                )
-                _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
+                _fill_window(spark, method, wb, prep, cfg, state)
             continue
         _run_measured_batch(spark, ds, cfg, prep, wb, state, res)
     return res
@@ -296,6 +310,11 @@ def _run_measured_batch(
     state: TERState, res: RunResult,
 ) -> None:
     method = prep.method
+    if set(state.tuples) != set(wb.window_before["rid"]):
+        raise RuntimeError(
+            f"window state at step {wb.step} holds {len(state.tuples)} tuples, "
+            f"not the {len(wb.window_before)} of W_t"
+        )
     _expire(state, wb.expired_rids)
 
     new_tuples, istats = _impute(spark, method, wb.arrived, prep, cfg, state)

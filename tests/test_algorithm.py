@@ -154,3 +154,76 @@ class TestPrepare:
 
     def test_keywords_limited(self, prepared_ter, small_cfg, small_ds):
         assert prepared_ter.keywords == small_ds.keywords[: small_cfg.n_topic_keywords]
+
+    def test_rules_beyond_dom_pairs_cutoff_refused(
+        self, spark, small_ds, small_cfg, prepared_ter
+    ):
+        """A DR-index whose dom_pairs stop short of the rules' dependent
+        intervals would drop candidates, so prepare refuses to pair them."""
+        import dataclasses
+
+        short = dataclasses.replace(prepared_ter.dr, max_dep_hi=0.0)
+        with pytest.raises(ValueError):
+            prepare(spark, small_ds, small_cfg, "ter", pivots=prepared_ter.pivots,
+                    dr=short)
+
+
+class TestWindowState:
+    def test_window_fill_expires(self, spark, small_ds, small_cfg, prepared_ter):
+        """The step-0 batch pushes tuples out of a stream's window; the
+        warm state must hold exactly the window W_t that step 1 sees."""
+        from repro.streams.window import sliding_batches
+        from repro.ter.algorithm import warmup
+
+        batches = sliding_batches(small_ds.stream, w=small_cfg.w,
+                                  batch_size=small_cfg.batch_size, max_batches=1)
+        step0, step1 = next(batches), next(batches)
+        assert step0.expired_rids
+        window = set(step1.window_before["rid"])
+        warm = warmup(spark, small_ds, small_cfg, prepared_ter)
+        assert set(warm.tuples) == window
+        assert set(warm.aggs["rid"]) == window
+        assert set(warm.values["rid"]) <= window
+
+    def test_stale_window_raises(self, spark, small_ds, small_cfg, prepared_ter):
+        from repro.ter.algorithm import warmup
+
+        stale = warmup(spark, small_ds, small_cfg, prepared_ter)
+        stale.tuples[-1] = next(iter(stale.tuples.values()))
+        with pytest.raises(RuntimeError):
+            run_stream(spark, small_ds, small_cfg, prepared_ter, max_batches=1,
+                       warm=stale)
+
+
+class TestNoSparkJobs:
+    def test_indexed_imputation_and_ter_batch(self, spark, small_ds, small_cfg,
+                                              prepared_ter):
+        """Indexed imputation, the window fill and a measured TER batch run
+        on the driver: no Spark job is started in their job group."""
+        import time
+
+        from repro.core.imputation import impute_batch
+        from repro.ter.algorithm import warmup
+
+        p = prepared_ter
+        sc = spark.sparkContext
+        sc.setJobGroup("ter-online", "ter-online")
+        try:
+            _, st = impute_batch(spark, small_ds.stream.head(40), p.dr, p.cddx,
+                                 p.pivots, keywords=p.keywords, indexed=True)
+            warm = warmup(spark, small_ds, small_cfg, p)
+            res = run_stream(spark, small_ds, small_cfg, p, max_batches=1,
+                             warm=warm)
+            # The job status store is updated asynchronously; once a later
+            # job is visible, every earlier one is too.
+            sc.setJobGroup("ter-online-sentinel", "ter-online-sentinel")
+            sc.parallelize([0], 1).count()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert st.n_samples > 0 and res.n_arrivals > 0
+        tracker = sc.statusTracker()
+        deadline = time.monotonic() + 60
+        while not tracker.getJobIdsForGroup("ter-online-sentinel"):
+            assert time.monotonic() < deadline, "status store did not catch up"
+            time.sleep(0.05)
+        assert tracker.getJobIdsForGroup("ter-online") == []

@@ -1,9 +1,8 @@
-"""DR-index tests: bucketing, postings, and dom_pairs vs brute force."""
+"""DR-index tests: bucketing, driver postings, and dom_pairs vs brute force."""
 import itertools
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.pivot import select_all_pivots
 from repro.core.similarity import jaccard_dist, tokens
@@ -29,8 +28,7 @@ def tiny_index(spark, tiny_repo):
     pivots = select_all_pivots(
         {k: tiny_repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
     )
-    dr = build_dr_index(spark, tiny_repo, pivots, n_buckets=5, max_dep_hi=0.8,
-                        df_cap_frac=1.0)
+    dr = build_dr_index(spark, tiny_repo, pivots, n_buckets=5, max_dep_hi=0.8)
     yield dr, pivots
     dr.unpersist()
 
@@ -56,29 +54,46 @@ class TestBuild:
                 b = min(dr.n_buckets - 1, int(r[f"pd{k}"] * dr.n_buckets))
                 assert r[f"pb{k}"] == b
 
-    def test_postings_cover_all_attrs(self, tiny_index, tiny_repo):
+    def test_postings_give_exact_distances(self, tiny_index, tiny_repo):
+        """Driver postings: distance of a probe value to every sample equals
+        the Python Jaccard distance, for values in and out of the repo."""
         dr, _ = tiny_index
-        assert dr.repo_long.count() == len(tiny_repo) * D
+        by_sid = tiny_repo.set_index("sid")
+        for k, c in enumerate(ATTR_COLS):
+            for probe in tiny_repo[c].tolist() + ["alpha x k", "unseen"]:
+                got = dr.attrs[k].distances(tokens(probe))
+                for row, sid in enumerate(dr.sids):
+                    expect = jaccard_dist(tokens(probe), tokens(by_sid.loc[sid, c]))
+                    assert got[row] == expect
 
-    def test_postings_match_repo_buckets(self, tiny_index):
+    def test_sample_values_map_to_domain(self, tiny_index, tiny_repo):
         dr, _ = tiny_index
-        repo = {r["sid"]: r for r in dr.repo.collect()}
-        for p in dr.repo_long.collect():
-            assert repo[p["sid"]][f"pb{p['attr']}"] == p["pb"]
+        by_sid = tiny_repo.set_index("sid")
+        for k, c in enumerate(ATTR_COLS):
+            a = dr.attrs[k]
+            assert [a.domain[u] for u in a.val] == [by_sid.loc[s, c] for s in dr.sids]
 
     def test_domains(self, tiny_index, tiny_repo):
         dr, _ = tiny_index
         for k, c in enumerate(ATTR_COLS):
-            assert sorted(dr.domains[k]) == sorted(tiny_repo[c].unique())
+            assert sorted(dr.attrs[k].domain) == sorted(tiny_repo[c].unique())
+
+
+def _dom_pairs(dr) -> dict:
+    """{(attr, u, v): dist} from the driver-side dom_pairs arrays."""
+    out = {}
+    for k, a in enumerate(dr.attrs):
+        for u in range(len(a.domain)):
+            for i in range(a.pair_ptr[u], a.pair_ptr[u + 1]):
+                out[(k, a.domain[u], a.domain[a.pair_v[i]])] = a.pair_dist[i]
+    return out
 
 
 class TestDomPairs:
     def test_matches_bruteforce(self, tiny_index, tiny_repo):
-        """dom_pairs (with df_cap disabled) == exhaustive pairs within cutoff."""
+        """dom_pairs == exhaustive pairs within cutoff."""
         dr, _ = tiny_index
-        got = {
-            (r["attr"], r["u"], r["v"]): r["dist"] for r in dr.dom_pairs.collect()
-        }
+        got = _dom_pairs(dr)
         for k, c in enumerate(ATTR_COLS):
             dom = tiny_repo[c].unique().tolist()
             for u, v in itertools.product(dom, dom):
@@ -91,23 +106,45 @@ class TestDomPairs:
 
     def test_identity_pairs_present(self, tiny_index, tiny_repo):
         dr, _ = tiny_index
-        ident = dr.dom_pairs.where(
-            (F.col("u") == F.col("v")) & (F.col("dist") == 0.0)
-        ).count()
+        ident = sum(
+            u == v and d == 0.0 for (_, u, v), d in _dom_pairs(dr).items()
+        )
         n_dom = sum(len(tiny_repo[c].unique()) for c in ATTR_COLS)
         assert ident == n_dom
 
-    def test_hot_token_capping_keeps_identity(self, spark, tiny_repo):
-        """Even with an aggressive df cap, identity pairs survive."""
+    def test_range_lookup(self, tiny_index):
+        """candidates(u, lo, hi) is exactly {v : lo <= dist(u, v) <= hi}."""
+        dr, _ = tiny_index
+        got = _dom_pairs(dr)
+        for k, a in enumerate(dr.attrs):
+            for u, uval in enumerate(a.domain):
+                for lo, hi in ((0.0, 0.0), (0.0, 0.5), (0.2, 0.8), (0.5, 0.6)):
+                    expect = {v for (kk, uu, v), d in got.items()
+                              if kk == k and uu == uval and lo <= d <= hi}
+                    assert set(a.domain[a.candidates(u, lo, hi)]) == expect
+
+    def test_frequent_tokens_kept(self, spark):
+        """Pairs that share only a token held by many values are within the
+        cutoff here (dist 2/3), so the self-join must keep them."""
+        n = 40
+        repo = pd.DataFrame({
+            "sid": range(n),
+            **{c: [f"hot{k} u{k}x{i}" for i in range(n)]
+               for k, c in enumerate(ATTR_COLS)},
+        })
         pivots = select_all_pivots(
-            {k: tiny_repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
+            {k: repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
         )
-        dr = build_dr_index(
-            spark, tiny_repo, pivots, n_buckets=5, max_dep_hi=0.8, df_cap_frac=0.0
-        )
+        dr = build_dr_index(spark, repo, pivots, n_buckets=5, max_dep_hi=0.7)
         try:
-            ident = dr.dom_pairs.where(F.col("u") == F.col("v")).count()
-            n_dom = sum(len(tiny_repo[c].unique()) for c in ATTR_COLS)
-            assert ident == n_dom
+            got = _dom_pairs(dr)
+            assert len(got) == D * n * n
+            assert got[(0, "hot0 u0x1", "hot0 u0x2")] == pytest.approx(2 / 3)
         finally:
             dr.unpersist()
+
+    def test_cutoff_must_be_below_one(self, spark, tiny_repo):
+        """At distance 1 a pair shares no token: the self-join cannot find
+        it, so such a cutoff is refused."""
+        with pytest.raises(ValueError):
+            build_dr_index(spark, tiny_repo, {}, max_dep_hi=1.0)

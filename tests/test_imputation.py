@@ -1,22 +1,28 @@
-"""Imputation pipeline tests (Section 3 as Spark joins).
+"""Imputation pipeline tests (Section 3).
 
-Key invariant: the DR-index bucket probe must return exactly the same
-candidate frequencies as the straightforward cross join (the index introduces
-no false negatives) — this is the correctness contract of the index join.
+Key invariant: the driver-side DR-index probe must return exactly the same
+samples and candidate rows as the straightforward Spark cross join and domain
+scan (the index introduces no false negatives and no false positives), so
+indexed and unindexed imputations are identical — this is the correctness
+contract of the index.
 """
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.imputation import (
-    assemble_instances,
+    CAND_COLS,
     candidate_frequencies,
     impute_batch,
     impute_batch_con,
-    retrieve_samples,
+    missing_cells,
+    probe_candidates,
+    probe_samples,
+    scan_candidates,
+    scan_samples,
 )
 from repro.oracle import assert_equivalent
-from repro.streams.stream_gen import ATTR_COLS, D
+from repro.streams.stream_gen import ATTR_COLS
+from repro.streams.window import sliding_batches
 
 
 @pytest.fixture(scope="module")
@@ -30,39 +36,39 @@ def batch(small_ds):
 
 @pytest.fixture(scope="module")
 def need(batch):
-    rows = []
-    for row in batch.itertuples(index=False):
-        for k, c in enumerate(ATTR_COLS):
-            if pd.isna(getattr(row, c)):
-                rows.append((int(row.rid), k))
-    return pd.DataFrame(rows, columns=["rid", "j"])
+    return missing_cells(batch)
+
+
+@pytest.fixture(scope="module")
+def samples(batch, need, prepared_ter):
+    p = prepared_ter
+    return probe_samples(batch, need, p.dr, p.cddx)
+
+
+def _sorted(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    return (df[cols].astype({c: "int64" for c in cols if c != "v"})
+            .sort_values(cols).reset_index(drop=True))
 
 
 class TestRetrieveSamples:
-    def test_indexed_equals_unindexed(self, spark, batch, need, prepared_ter):
-        """Bucket-probe candidates == cross-join candidates, exactly."""
+    def test_indexed_equals_unindexed(self, spark, batch, need, samples, prepared_ter):
+        """DR-index probe samples == cross-join samples, exactly."""
         p = prepared_ter
-        kw = dict(dr=p.dr, cddx=p.cddx, pivots=p.pivots)
-        a = retrieve_samples(spark, batch, need, indexed=True, **kw)
-        b = retrieve_samples(spark, batch, need, indexed=False, **kw)
+        scanned = scan_samples(spark, batch, need, p.dr, p.cddx).toPandas()
         key = ["rid", "j", "rule_id", "sid"]
-        pa = a.select(*key).distinct().toPandas().sort_values(key).reset_index(drop=True)
-        pb = b.select(*key).distinct().toPandas().sort_values(key).reset_index(drop=True)
-        pd.testing.assert_frame_equal(pa, pb)
+        assert len(samples) > 0
+        pd.testing.assert_frame_equal(_sorted(samples, key), _sorted(scanned, key))
 
-    def test_samples_satisfy_constraints(self, spark, batch, need, prepared_ter):
+    def test_samples_satisfy_constraints(self, batch, samples, prepared_ter):
         """Every retrieved (tuple, rule, sample) satisfies the rule's
         determinant constraints (checked against driver-side rule objects)."""
         from repro.core.similarity import jaccard_dist, tokens
 
         p = prepared_ter
-        got = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
-        ).toPandas()
         rules_flat = p.cddx.rules_df.toPandas().set_index("rule_id")
         repo = p.dr.repo.select("sid", *ATTR_COLS).toPandas().set_index("sid")
         bt = batch.set_index("rid")
-        for row in got.head(200).itertuples(index=False):
+        for row in samples.head(200).itertuples(index=False):
             rule = rules_flat.loc[row.rule_id]
             s = repo.loc[row.sid]
             r = bt.loc[row.rid]
@@ -75,20 +81,20 @@ class TestRetrieveSamples:
 
 
 class TestCandidateFrequencies:
-    def test_oracle_frequency_aggregation(self, spark, batch, need, prepared_ter):
-        """The groupBy-count aggregation is oracle-checked against DuckDB
-        over the materialized (rid, j, v) candidate rows."""
+    def test_indexed_candidates_equal_scan(self, spark, batch, need, samples,
+                                           prepared_ter):
+        """dom_pairs range lookups == the domain scan's candidate rows."""
         p = prepared_ter
-        samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
-        )
-        dp = p.dr.dom_pairs
-        cand_rows = samples.join(
-            dp, (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"])
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        ).select("rid", "j", "rule_id", "sid", "v")
-        freqs = candidate_frequencies(samples, p.dr).withColumnRenamed("count", "f")
+        scanned = scan_candidates(scan_samples(spark, batch, need, p.dr, p.cddx), p.dr)
+        got = probe_candidates(samples, p.dr)
+        assert len(got) > 0
+        pd.testing.assert_frame_equal(_sorted(got, CAND_COLS), _sorted(scanned, CAND_COLS))
+
+    def test_oracle_frequency_aggregation(self, samples, prepared_ter):
+        """The vote-split aggregation is oracle-checked against DuckDB
+        over the materialized (rid, j, rule_id, sid, v) candidate rows."""
+        cand_rows = probe_candidates(samples, prepared_ter.dr)
+        freqs = candidate_frequencies(cand_rows).rename(columns={"count": "f"})
         assert_equivalent(
             freqs,
             """
@@ -101,23 +107,25 @@ class TestCandidateFrequencies:
             cand=cand_rows,
         )
 
-    def test_candidates_within_dep_interval(self, spark, batch, need, prepared_ter):
+    def test_row_order_does_not_matter(self, samples, prepared_ter):
+        """Frequencies are bit-identical whatever order the rows arrive in."""
+        cand_rows = probe_candidates(samples, prepared_ter.dr)
+        shuffled = cand_rows.sample(frac=1.0, random_state=3)
+        pd.testing.assert_frame_equal(
+            candidate_frequencies(cand_rows), candidate_frequencies(shuffled),
+            check_exact=True,
+        )
+
+    def test_candidates_within_dep_interval(self, samples, prepared_ter):
         from repro.core.similarity import jaccard_dist, tokens
 
-        p = prepared_ter
-        samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
-        )
-        dp = p.dr.dom_pairs
-        rows = samples.join(
-            dp, (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"])
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        ).select("s_dep_val", "v", "dep_lo", "dep_hi").limit(100).collect()
-        assert rows
-        for r in rows:
-            d = jaccard_dist(tokens(r["s_dep_val"]), tokens(r["v"]))
-            assert r["dep_lo"] - 1e-9 <= d <= r["dep_hi"] + 1e-9
+        rows = probe_candidates(samples, prepared_ter.dr).merge(
+            samples, on=["rid", "j", "rule_id", "sid"]
+        ).head(100)
+        assert len(rows)
+        for r in rows.itertuples(index=False):
+            d = jaccard_dist(tokens(r.s_dep_val), tokens(r.v))
+            assert r.dep_lo - 1e-9 <= d <= r.dep_hi + 1e-9
 
 
 class TestImputeBatch:
@@ -179,6 +187,31 @@ class TestImputeBatch:
             hits += best >= 0.5
         assert tried >= 5
         assert hits / tried > 0.5
+
+    def test_indexed_equals_unindexed_instances(
+        self, spark, batch, small_ds, small_cfg, prepared_ter
+    ):
+        """TER's indexed imputation and CDD+ER's Spark scan give exactly the
+        same instance lists, probabilities compared with ==."""
+        p = prepared_ter
+        batches = [batch] + [
+            wb.arrived for wb in sliding_batches(
+                small_ds.stream, w=small_cfg.w, batch_size=small_cfg.batch_size,
+                max_batches=2,
+            )
+        ]
+        for b in batches:
+            got = {}
+            for indexed in (True, False):
+                tuples, stats = impute_batch(
+                    spark, b, p.dr, p.cddx, p.pivots, keywords=p.keywords,
+                    indexed=indexed, max_instances=small_cfg.max_instances,
+                )
+                got[indexed] = (
+                    [[(i.attrs, i.p) for i in t.instances] for t in tuples],
+                    stats.n_samples,
+                )
+            assert got[True] == got[False]
 
     def test_no_missing_short_circuit(self, spark, batch, prepared_ter):
         p = prepared_ter
